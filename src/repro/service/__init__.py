@@ -25,13 +25,15 @@ package **persists and serves**:
   curve ``1 - (1 - s^r)^b``, incremental maintenance, and codec-frame
   persistence alongside the manifest;
 * :mod:`repro.service.plan` — the explicit :class:`QueryPlan` stage
-  pipeline both query paths compile to;
-* :mod:`repro.service.query` — the threshold/top-k query engine with
-  the size-ratio / sketch / exact-verify cascade (``query:*``
-  kernels), and the sharded fan-out engine that runs it per band;
-* :mod:`repro.service.batch` — the coalescing :class:`QueryBatcher`
-  front end: one size-sorted window and one rectangular popcount block
-  per batch, charged under ``query:batch:*`` kernels;
+  pipeline every query compiles to (per-query ``query:*`` or batched
+  ``query:batch:*`` kernels);
+* :mod:`repro.service.batch` — the one query executor (lsh -> window
+  -> sketch -> verify over a per-version store snapshot) and the
+  coalescing :class:`QueryBatcher` admission front end;
+* :mod:`repro.service.query` — the query engines: the flat
+  :class:`SimilarityIndex` runs a query as a batch of one, and the
+  sharded engine routes queries to size bands around the same
+  executor;
 * :mod:`repro.service.cache` — the LRU query/result cache, shared by
   both paths through one topology-aware key schema;
 * :mod:`repro.service.errors` — the :class:`ServiceError` hierarchy
@@ -41,9 +43,6 @@ See ``docs/service.md`` for the store layouts, the cascade correctness
 argument, the batched admission model, and the facade contract.
 """
 
-import warnings
-
-from repro.service import incremental as _incremental
 from repro.service.api import SimilarityService
 from repro.service.batch import BatchQuery, QueryBatcher
 from repro.service.cache import CacheStats, QueryCache, result_cache_key
@@ -93,8 +92,6 @@ __all__ = [
     "QueryError",
     "ConfigError",
     "IncrementalReport",
-    "add_genomes",
-    "rebuild",
     "similarity_from_gram",
     "BandPlan",
     "LSHTable",
@@ -122,32 +119,3 @@ __all__ = [
     "shard_store",
 ]
 
-
-def add_genomes(*args, **kwargs):
-    """Deprecated shim for :func:`repro.service.incremental.add_genomes`.
-
-    Route through :meth:`SimilarityService.add` (or import from
-    :mod:`repro.service.incremental` directly).
-    """
-    warnings.warn(
-        "repro.service.add_genomes is deprecated; use "
-        "SimilarityService.add or repro.service.incremental.add_genomes",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _incremental.add_genomes(*args, **kwargs)
-
-
-def rebuild(*args, **kwargs):
-    """Deprecated shim for :func:`repro.service.incremental.rebuild`.
-
-    Route through :meth:`SimilarityService.rebuild` (or import from
-    :mod:`repro.service.incremental` directly).
-    """
-    warnings.warn(
-        "repro.service.rebuild is deprecated; use "
-        "SimilarityService.rebuild or repro.service.incremental.rebuild",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return _incremental.rebuild(*args, **kwargs)

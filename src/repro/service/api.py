@@ -11,53 +11,46 @@ that hides the wiring:
   :class:`~repro.service.sharded.ShardedStore`) from the config's
   ``store.shards`` knob or the on-disk manifest, and build the matching
   query engine (:class:`~repro.service.query.SimilarityIndex` vs the
-  fan-out :class:`~repro.service.query.ShardedSimilarityIndex`);
+  band-routing :class:`~repro.service.query.ShardedSimilarityIndex`);
 * ``add`` / ``remove`` / ``compact`` / ``rebuild`` route mutations
   through the incremental border-merge machinery, band-routed on a
   sharded store;
 * ``query`` / ``query_batch`` answer threshold/top-k queries through
-  the same compiled :class:`~repro.service.plan.QueryPlan` cascade on
-  either layout — results are bit-identical across layouts and paths;
+  the one query executor under a compiled
+  :class:`~repro.service.plan.QueryPlan` on either layout — results
+  are bit-identical across layouts and paths;
 * ``shard`` migrates an existing flat store in place (see
   :func:`~repro.service.sharded.shard_store`) and re-wires the engine;
 * ``stats`` is the one-call health/introspection snapshot.
 
-Callers that used to import ``add_genomes`` / ``rebuild`` from
-``repro.service`` directly still can — those names are deprecated
-shims now (see :mod:`repro.service`); the genomics pipeline and the
-CLI route through this facade.
+The genomics pipeline and the CLI route through this facade.
 
 See ``docs/service.md`` for the full API contract.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
 from pathlib import Path
 
 from repro.core.config import SimilarityConfig
+from repro.core.sketch import SKETCH_ESTIMATORS
 from repro.runtime.engine import Machine
-from repro.runtime.executor import SequentialExecutor
 from repro.runtime.machine import laptop
-from repro.service.batch import BatchQuery, QueryBatcher
-from repro.service.errors import QueryError, StoreError
+from repro.semantics.wminhash import WEIGHTED_MINHASH_FAMILY
+from repro.service.errors import StoreError
 from repro.service.incremental import (
     IncrementalReport,
     add_genomes,
     rebuild,
 )
-from repro.core.sketch import SKETCH_ESTIMATORS
-from repro.semantics.measures import get_measure
-from repro.semantics.weighted import coerce_counts
-from repro.semantics.wminhash import WEIGHTED_MINHASH_FAMILY
 from repro.service.query import (
     QueryResult,
     ShardedSimilarityIndex,
     SimilarityIndex,
-    merge_shard_results,
+    merge_shard_results,  # noqa: F401 - a binding perfbench/layers.py traces
 )
 from repro.service.sharded import ShardedStore, open_store, shard_store
-from repro.service.store import IndexStore, _as_values
+from repro.service.store import IndexStore
 
 __all__ = ["SimilarityService"]
 
@@ -79,8 +72,9 @@ class SimilarityService:
         ``query.*`` / ``store.*`` knobs drive plan compilation, cache
         sizing, and (at :meth:`create` time) the store layout.
     executor:
-        Optional executor for the sharded fan-out (parallelism is
-        *modelled* by the ledger's rank assignment either way).
+        Optional executor for the sharded engine's per-band work
+        (parallelism is *modelled* by the ledger's rank assignment
+        either way).
     """
 
     def __init__(
@@ -262,111 +256,15 @@ class SimilarityService:
 
         Items are raw value arrays (taking the call-level ``threshold``
         / ``top_k``) or :class:`~repro.service.batch.BatchQuery`
-        instances.  On a flat store this is the classic
-        :class:`~repro.service.batch.QueryBatcher` (one size-sorted
-        window + one rectangular popcount block per admitted batch); on
-        a sharded store each query routes to the shards its size-ratio
-        window overlaps, one per-shard batcher coalesces the queries
-        that reach its band, and per-shard answers merge exactly like
-        the single-query fan-out.  Results equal :meth:`query` exactly
-        on both layouts.
+        instances.  Either layout's engine admits them in batches that
+        share one size-sorted window and one rectangular popcount
+        block; a sharded store first routes each query to the bands its
+        window overlaps.  Results equal :meth:`query` exactly on both
+        layouts.
         """
-        if not isinstance(self.engine, ShardedSimilarityIndex):
-            with QueryBatcher(
-                self.engine, executor=SequentialExecutor()
-            ) as batcher:
-                return batcher.query_many(
-                    queries, threshold=threshold, top_k=top_k
-                )
-        return self._query_batch_sharded(queries, threshold, top_k)
-
-    def _query_batch_sharded(
-        self, queries, threshold, top_k
-    ) -> list[QueryResult]:
-        engine = self.engine
-        store = self.store
-        items = [
-            q if isinstance(q, BatchQuery)
-            else BatchQuery(q, threshold=threshold, top_k=top_k)
-            for q in queries
-        ]
-        if not items:
-            return []
-        plan = engine.plan(batched=True)
-        measure = get_measure(plan.measure)
-        window = plan.stage("window") is not None
-        # Validate everything up front: a bad query must not abort the
-        # fan-out after some shards have already executed.
-        sized = []
-        for item in items:
-            if item.counts is not None:
-                vals, _ = coerce_counts(item.values, item.counts)
-            else:
-                vals = _as_values(item.values)
-            if vals.size and (vals[0] < 0 or vals[-1] >= store.m):
-                raise QueryError(f"query values outside [0, {store.m})")
-            if item.threshold is None and item.top_k is None:
-                raise QueryError("pass threshold, top_k, or both")
-            if item.threshold is not None and not 0.0 <= item.threshold <= 1.0:
-                raise QueryError(
-                    f"threshold must be in [0, 1], got {item.threshold}"
-                )
-            if item.top_k is not None and item.top_k <= 0:
-                raise QueryError(
-                    f"top_k must be positive, got {item.top_k}"
-                )
-            sized.append((item, int(vals.size)))
-        # One lock over the whole fan-out: every answer in the batch
-        # reflects the same store version even under concurrent adds.
-        with store._lock:
-            before = self.machine.ledger.snapshot()
-            batchers = [
-                QueryBatcher(eng, executor=SequentialExecutor())
-                for eng in engine.engines
-            ]
-            routed: dict[int, list[int]] = {}
-            for i, (item, size) in enumerate(sized):
-                if (
-                    window
-                    and item.threshold is not None
-                    and item.threshold > 0.0
-                    and not measure.weighted
-                ):
-                    # Bands are keyed by support size; the measure's
-                    # window over the query's support selects the band
-                    # range (one-sided for containment).  Weighted
-                    # Jaccard admits no support bound, so weighted
-                    # queries consult every band.
-                    w_lo, w_hi = measure.window(size, item.threshold)
-                    b_lo, b_hi = store.band_range(w_lo, w_hi)
-                    bands = range(b_lo, b_hi + 1)
-                else:
-                    bands = range(store.n_shards)
-                for band in bands:
-                    routed.setdefault(band, []).append(i)
-            per_item: list[list[QueryResult]] = [[] for _ in items]
-            for band in sorted(routed):
-                idxs = routed[band]
-                shard_answers = batchers[band].query_many(
-                    [items[i] for i in idxs]
-                )
-                for i, answer in zip(idxs, shard_answers):
-                    per_item[i].append(answer)
-            cost = self.machine.ledger.diff(before)
-            positions = store.positions()
-            version = store.version
-        # The fan-out's ledger makespan, split evenly across the batch
-        # (the same convention the flat batcher uses within a batch).
-        share = cost.simulated_seconds / len(items)
-        out = []
-        for item, answers in zip(items, per_item):
-            merged = merge_shard_results(
-                plan, answers, item.threshold, item.top_k, positions,
-                version,
-                batch_size=max((r.batch_size for r in answers), default=1),
-            )
-            out.append(replace(merged, simulated_seconds=share))
-        return out
+        return self.engine.query_many(
+            queries, threshold=threshold, top_k=top_k
+        )
 
     # ---- introspection --------------------------------------------------
 

@@ -1,30 +1,29 @@
-"""Explicit query plans: the stage pipeline both query paths compile to.
+"""Explicit query plans: the stage pipeline every query compiles to.
 
-PR 5's :class:`~repro.service.query.SimilarityIndex` hard-wired its
-cascade (size bound -> sketch prefilter -> exact verify) into one
-method.  The batched front end (:mod:`repro.service.batch`) runs the
-*same* stages but vectorized across many queries, with different cost
-accounting — so the stage pipeline is now reified as a
-:class:`QueryPlan` that **both** paths compile to via
-:func:`compile_plan`:
+A :class:`QueryPlan` reifies the cascade (lsh -> window -> sketch ->
+verify) as pure data — which stages run, which sketch family
+estimates, what the analytic bound is, and which ledger kernel each
+stage charges.  One executor,
+:func:`~repro.service.batch.execute`, owns the stage loop; the plan
+only decides *what* is pruned and *what* is exact, which is why every
+path answers exactly like brute force.  :func:`compile_plan` makes two
+kinds of plan:
 
-* the single-query path executes the plan one candidate array at a
-  time and verifies survivors with per-pair sorted intersections
-  (kernel labels ``query:size`` / ``query:sketch`` / ``query:verify``,
-  unchanged from PR 5 so the committed ``BENCH_query.json`` trajectory
-  stays comparable);
-* the batched path executes the plan once per admitted batch — the
-  size-ratio window runs over size-sorted genome lengths, the
-  surviving (query, candidate) pairs merge, and verification is one
-  rectangular bit-matrix popcount block (kernel labels
+* a **per-query** plan (``batched=False``) — a single query run as a
+  batch of one: kernel labels ``query:size`` / ``query:sketch`` /
+  ``query:verify`` (kept stable so the committed ``BENCH_query.json``
+  trajectory stays comparable), the ``query`` ledger phase, no
+  admission charge, and survivors verified pair by pair with sorted
+  intersections;
+* a **batched** plan — one admitted batch: kernel labels
   ``query:batch:window`` / ``query:batch:sketch`` /
-  ``query:batch:verify``).
+  ``query:batch:verify`` plus a per-request ``query:batch:admit``
+  charge, the ``query_batch`` phase, and the merged survivors verified
+  as one rectangular bit-matrix popcount block.
 
-A plan is pure data: which stages run, which sketch family estimates,
-what the analytic bound is, and which ledger kernel each stage charges.
-The executing engine owns the loop; the plan guarantees the two
-engines agree on *what* is pruned and *what* is exact — which is why
-batched results equal per-query results equal brute force.
+A plan compiled against a sharded store records its ``fanout``; the
+sharded engine routes each query to the size bands its window overlaps
+and runs the same plan once per band.
 """
 
 from __future__ import annotations
@@ -84,10 +83,9 @@ class QueryPlan:
     probes the store's banded bucket tables before the window runs.
 
     ``fanout`` is the shard count of the store the plan was compiled
-    against (1 for a flat store): a plan with ``fanout > 1`` runs its
-    ``window`` stage first as a *band selector* (which shards does the
-    size-ratio window overlap?) and then executes the remaining cascade
-    once per selected shard.
+    against (1 for a flat store): a plan with ``fanout > 1`` is routed
+    first — the query's window selects the size bands it overlaps — and
+    then runs whole once per selected band.
 
     ``measure`` names the similarity semantics the plan scores under (a
     :data:`~repro.core.config.SIMILARITY_MEASURES` value).  The measure
@@ -119,6 +117,11 @@ class QueryPlan:
         if st is None:
             raise KeyError(f"plan has no stage {name!r}")
         return st.kernel
+
+    @property
+    def phase(self) -> str:
+        """The ledger phase the plan's stages are charged under."""
+        return "query_batch" if self.batched else "query"
 
     @property
     def estimator(self) -> str:
@@ -187,10 +190,10 @@ def compile_plan(
     """Compile a config + store (or snapshot) into a :class:`QueryPlan`.
 
     ``store`` only needs ``families`` / ``sketch_size`` / ``sketch_bits``
-    / ``sketch_seed`` — both :class:`~repro.service.store.IndexStore`
-    and :class:`~repro.service.store.StoreSnapshot` qualify, so the
-    batcher compiles against the immutable snapshot a batch was
-    admitted under.
+    / ``sketch_seed`` — :class:`~repro.service.store.IndexStore`,
+    :class:`~repro.service.sharded.ShardedStore` and
+    :class:`~repro.service.store.StoreSnapshot` all qualify, so a query
+    compiles against the immutable snapshot it was admitted under.
 
     Compilation is where sketch-consuming plans are validated: LSH
     candidate generation requires the stored ``bbit_minhash`` family,

@@ -308,6 +308,10 @@ class IndexStore:
     _deferred_stale: list = field(
         default_factory=list, init=False, repr=False, compare=False
     )
+    #: The snapshot of the current version (see :meth:`snapshot`).
+    _snapshot: "StoreSnapshot | None" = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ---- lifecycle ----------------------------------------------------
 
@@ -561,6 +565,9 @@ class IndexStore:
                 self.entries, flags, self.version, self.next_shard,
                 self.gram_names, self.gram_file, self.lsh_file, self._lsh,
             ) = state
+            # The version number is reused, so a snapshot taken inside
+            # the failed body must not outlive it.
+            self._snapshot = None
             for entry, removed in flags:
                 entry.removed = removed
             raise
@@ -617,18 +624,25 @@ class IndexStore:
         raise KeyError(f"unknown genome {name!r}")
 
     def snapshot(self) -> "StoreSnapshot":
-        """A frozen, version-consistent view of the live genomes.
+        """The frozen, version-consistent view of the live genomes.
 
         Taken under the store lock, so it never observes a mutation
         half-applied.  Because shards are append-only and immutable,
         the snapshot's reads stay valid across later ``append_many`` /
         ``remove`` / ``set_gram`` calls — this is what lets a query
         batch admitted under version ``v`` finish correctly while the
-        store has already moved on.
+        store has already moved on.  Every call returns the same
+        snapshot until the version changes, so its memo is the store's
+        one per-version decode cache.
         """
         with self._lock:
+            if (
+                self._snapshot is not None
+                and self._snapshot.version == self.version
+            ):
+                return self._snapshot
             live = self.live_entries
-            return StoreSnapshot(
+            self._snapshot = StoreSnapshot(
                 root=self.root,
                 m=self.m,
                 version=self.version,
@@ -646,6 +660,7 @@ class IndexStore:
                 families=self.families,
                 lsh=self.lsh_table(),
             )
+            return self._snapshot
 
     def total_bytes(self) -> int:
         """On-disk footprint of the live shards (encoded frames)."""
@@ -905,11 +920,14 @@ class IndexStore:
 class StoreSnapshot:
     """An immutable view of one store version's live genomes.
 
-    Carries everything the query engines read — names, shard paths,
+    Carries everything the query executor reads — names, shard paths,
     exact sizes, the sketch configuration — captured atomically under
     the store lock.  Reads go to the same immutable shard files, and
-    decoded values / sketch payloads are memoized per snapshot (the
-    snapshot can never go stale, so the memo never needs invalidation).
+    decoded values / counts / sketch payloads and the extent sort the
+    window probes are memoized per snapshot; :meth:`IndexStore.snapshot`
+    hands out one snapshot per version, so this memo is the per-version
+    decode cache (the snapshot can never go stale, so it never needs
+    invalidation).
     """
 
     root: Path
@@ -933,6 +951,10 @@ class StoreSnapshot:
     _values: dict = field(default_factory=dict, repr=False, compare=False)
     _payloads: dict = field(default_factory=dict, repr=False, compare=False)
     _counts: dict = field(default_factory=dict, repr=False, compare=False)
+    _sorted: dict = field(default_factory=dict, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        self._positions = {name: i for i, name in enumerate(self.names)}
 
     @property
     def n_genomes(self) -> int:
@@ -944,46 +966,61 @@ class StoreSnapshot:
     def masses(self) -> np.ndarray:
         return self._sizes if self._masses is None else self._masses
 
-    def _shard(self, name: str) -> Path:
-        try:
-            return self.root / self.shards[self.names.index(name)]
-        except ValueError:
+    def position(self, name: str | None) -> int | None:
+        """``name``'s store position, or ``None`` if it is not live."""
+        return self._positions.get(name)
+
+    def _index(self, name: str) -> int:
+        i = self._positions.get(name)
+        if i is None:
             raise KeyError(
                 f"unknown genome {name!r} at version {self.version}"
-            ) from None
+            )
+        return i
 
     def load_values(self, name: str) -> np.ndarray:
         if name not in self._values:
-            self._values[name] = read_record(self._shard(name), 0)
+            self._values[name] = read_record(
+                self.root / self.shards[self._index(name)], 0
+            )
         return self._values[name]
 
-    def load_sketch_payload(self, name: str, family: str) -> np.ndarray:
+    def family_payloads(self, family: str) -> list[np.ndarray]:
+        """Every live genome's stored ``family`` payload, by position."""
         if family not in self.families:
             raise StoreError(
                 f"family {family!r} not stored (store holds {self.families})"
             )
-        key = (name, family)
-        if key not in self._payloads:
+        if family not in self._payloads:
             idx = 1 + self.families.index(family)
-            self._payloads[key] = read_record(self._shard(name), idx)
-        return self._payloads[key]
+            self._payloads[family] = [
+                read_record(self.root / shard, idx) for shard in self.shards
+            ]
+        return self._payloads[family]
 
     def load_counts(self, name: str) -> np.ndarray:
         """Abundance counts aligned with :meth:`load_values` (see
         :meth:`IndexStore.load_counts`)."""
         if name not in self._counts:
-            try:
-                i = self.names.index(name)
-            except ValueError:
-                raise KeyError(
-                    f"unknown genome {name!r} at version {self.version}"
-                ) from None
+            i = self._index(name)
             if int(self.masses()[i]) == int(self._sizes[i]):
                 self._counts[name] = np.ones(
                     int(self._sizes[i]), dtype=np.int64
                 )
             else:
                 self._counts[name] = read_record(
-                    self._shard(name), 1 + len(self.families)
+                    self.root / self.shards[i], 1 + len(self.families)
                 )
         return self._counts[name]
+
+    def sorted_extents(self, weighted: bool) -> tuple[np.ndarray, np.ndarray]:
+        """``(order, extents[order])`` of the sizes (or masses).
+
+        The query window probes these with two ``searchsorted`` calls
+        instead of scanning every extent.
+        """
+        if weighted not in self._sorted:
+            extents = self.masses() if weighted else self.sizes()
+            order = np.argsort(extents, kind="stable")
+            self._sorted[weighted] = (order, extents[order])
+        return self._sorted[weighted]

@@ -212,3 +212,26 @@ def test_weighted_equals_plain_on_multiplicity_free_corpus(tmp_path):
     assert [(m.name, m.similarity) for m in rw.matches] == [
         (m.name, m.similarity) for m in rj.matches
     ]
+
+
+@pytest.mark.parametrize("threshold", [0.2, 0.3])
+def test_serial_weighted_cascade_prunes_with_weighted_sketches(
+    tmp_path, threshold
+):
+    """The per-query weighted plan has a weighted-MinHash sketch stage.
+
+    With real multiplicities the stage must actually prune (the mass
+    window alone keeps every genome here) and stay exact.
+    """
+    names, triples, q_vals, q_counts = make_corpus(seed=7)
+    assert any(int(c.max()) > 1 for _, _, c in triples)
+    service = build_service(tmp_path, "weighted_jaccard", 1, triples)
+    result = service.query(values=q_vals, threshold=threshold, counts=q_counts)
+    assert result.estimator == "weighted_minhash"
+    assert result.n_after_sketch < result.n_after_size
+    scores = brute_scores("weighted_jaccard", triples, q_vals, q_counts)
+    ref = reference_answer(scores, threshold, None)
+    got = [(m.name, m.similarity) for m in result.matches]
+    assert [n for n, _ in got] == [n for n, _ in ref]
+    for (_, a), (_, b) in zip(got, ref):
+        assert a == pytest.approx(b, abs=1e-12)

@@ -2,14 +2,12 @@
 
 The facade is the public API: these tests pin that every flow —
 create/open, add/remove/compact/rebuild, single and batched queries,
-migration, stats — works identically on both store layouts, and that
-the pre-facade entry points keep working behind deprecation shims.
+migration, stats — works identically on both store layouts.
 """
 
 import numpy as np
 import pytest
 
-import repro.service as service_pkg
 from repro.core.config import SimilarityConfig
 from repro.service import (
     BatchQuery,
@@ -203,6 +201,32 @@ class TestQueries:
         sh = sharded_service(tmp_path, sets_for(rng, n=4))
         assert sh.query_batch([]) == []
 
+    def test_sharded_query_batch_uses_result_cache(self, tmp_path, rng):
+        sets = sets_for(rng, n=10)
+        flat = flat_service(tmp_path, sets)
+        sh = SimilarityService.create(
+            tmp_path / "sh_small_batches", m=M,
+            config=SimilarityConfig(
+                store_shards=4, shard_band_policy="quantile",
+                query_batch_size=2,
+            ),
+            size_hint=np.array([v.size for _, v in sets], dtype=np.int64),
+        )
+        sh.add(sets)
+        q = np.sort(rng.choice(M, size=900, replace=False))
+        other = np.sort(rng.choice(M, size=400, replace=False))
+        # Batches of two: the repeat lands in the second batch.
+        first, _, repeat = sh.query_batch([q, other, q], threshold=0.1)
+        assert not first.from_cache
+        assert repeat.from_cache
+        expected = matches_of(flat.query(values=q, threshold=0.1))
+        assert matches_of(first) == expected
+        assert matches_of(repeat) == expected
+        # A later call is served from the same top-level cache.
+        (again,) = sh.query_batch([q], threshold=0.1)
+        assert again.from_cache
+        assert matches_of(again) == expected
+
 
 class TestStats:
     @pytest.mark.parametrize("layout", ["flat", "sharded"])
@@ -228,20 +252,3 @@ class TestStats:
         assert len(stats["band_edges"]) == 4
         assert sum(stats["shard_occupancy"]) == 8
 
-
-class TestDeprecatedShims:
-    def test_add_genomes_shim_warns_and_works(self, tmp_path, rng):
-        store = IndexStore.create(tmp_path / "idx", m=M)
-        with pytest.warns(DeprecationWarning, match="add_genomes"):
-            report = service_pkg.add_genomes(
-                store,
-                [("a", np.sort(rng.choice(M, size=50, replace=False)))],
-            )
-        assert report.added == ("a",)
-
-    def test_rebuild_shim_warns_and_works(self, tmp_path, rng):
-        store = IndexStore.create(tmp_path / "idx", m=M)
-        store.append("a", np.sort(rng.choice(M, size=50, replace=False)))
-        with pytest.warns(DeprecationWarning, match="rebuild"):
-            service_pkg.rebuild(store)
-        assert gram_current(store)
