@@ -154,8 +154,10 @@ def predicted_gram_kernel(
 
     Mirrors the per-batch runtime dispatch, but runs before any data is
     read: survivors are *estimated* with :func:`expected_nonzero_rows`
-    rather than measured.  On uniform synthetic inputs the prediction
-    matches the runtime decision batch for batch (tests pin this); on
+    rather than measured, and the outer kernel is priced with the
+    uniform-degree estimate (no measured ``sum_sq_degree``).  On uniform
+    synthetic inputs the prediction matches the runtime decision batch
+    for batch (tests pin this); on
     skewed inputs it is the a-priori guess the driver reports as
     ``SimilarityResult.planned_kernel``.
 

@@ -33,6 +33,7 @@ import numpy as np
 
 from repro.runtime.comm import Communicator
 from repro.sparse.coo import CooMatrix
+from repro.util.arrays import unique_sorted
 from repro.util.partition import block_bounds
 
 
@@ -75,13 +76,13 @@ def apply_filter(
 
 def _filter_allgather(comm: Communicator, chunks: list[CooMatrix]) -> FilterResult:
     m_batch = chunks[0].shape[0]
-    local_rows = [np.unique(c.rows) for c in chunks]
+    local_rows = [unique_sorted(c.rows) for c in chunks]
     comm.charge_compute([float(c.nnz) for c in chunks])
     gathered = comm.allgather(local_rows)[0]
     # Replicated merge: the (max, x)-semiring read of f on every rank,
     # followed by the local prefix sum over its nonzero entries.
     nonzero_rows = (
-        np.unique(np.concatenate(gathered))
+        unique_sorted(np.concatenate(gathered))
         if any(a.size for a in gathered)
         else np.empty(0, dtype=np.int64)
     )
@@ -106,10 +107,10 @@ def _filter_transpose(comm: Communicator, chunks: list[CooMatrix]) -> FilterResu
     # block owner.
     send: list[list[np.ndarray | None]] = []
     for chunk in chunks:
-        uniq = np.unique(chunk.rows)
+        uniq = unique_sorted(chunk.rows)
         owners = np.searchsorted(highs, uniq, side="right")
         row: list[np.ndarray | None] = [None] * p
-        for o in np.unique(owners):
+        for o in unique_sorted(owners):
             row[int(o)] = uniq[owners == o]
         send.append(row)
     comm.charge_compute([float(c.nnz) for c in chunks])
@@ -119,7 +120,7 @@ def _filter_transpose(comm: Communicator, chunks: list[CooMatrix]) -> FilterResu
     owned_rows: list[np.ndarray] = []
     for r in range(p):
         parts = [a for a in received[r] if a is not None and a.size]
-        owned = np.unique(np.concatenate(parts)) if parts else np.empty(0, np.int64)
+        owned = unique_sorted(np.concatenate(parts)) if parts else np.empty(0, np.int64)
         owned_rows.append(owned)
     comm.charge_compute([float(a.size) for a in owned_rows])
 

@@ -28,6 +28,7 @@ from typing import Protocol, Sequence, runtime_checkable
 import numpy as np
 
 from repro.sparse.coo import CooMatrix
+from repro.util.arrays import unique_sorted
 from repro.util.prng import rng_for
 
 
@@ -177,7 +178,7 @@ class FileSource:
                 vals = np.load(path)
             else:
                 vals = np.loadtxt(path, dtype=np.int64, ndmin=1)
-            vals = np.unique(np.asarray(vals, dtype=np.int64))
+            vals = unique_sorted(np.asarray(vals, dtype=np.int64))
             if vals.size and (vals[0] < 0 or vals[-1] >= self._m):
                 raise ValueError(
                     f"{path}: values outside [0, {self._m}): "
@@ -186,12 +187,16 @@ class FileSource:
             self._cache[j] = vals
         return self._cache[j]
 
+    def _window(self, j: int, lo: int, hi: int) -> np.ndarray:
+        """Sample ``j``'s values in ``[lo, hi)`` (a view, not a copy)."""
+        vals = self._load(j)
+        a, b = np.searchsorted(vals, [lo, hi])
+        return vals[a:b]
+
     def read_batch(self, lo: int, hi: int, rank: int, n_readers: int) -> CooMatrix:
         rows_parts, cols_parts = [], []
         for j in _reader_samples(self.n, rank, n_readers):
-            vals = self._load(j)
-            a, b = np.searchsorted(vals, [lo, hi])
-            window = vals[a:b]
+            window = self._window(j, lo, hi)
             rows_parts.append(window - lo)
             cols_parts.append(np.full(window.size, j, dtype=np.int64))
         rows = np.concatenate(rows_parts) if rows_parts else np.empty(0, np.int64)
@@ -199,7 +204,10 @@ class FileSource:
         return CooMatrix(rows, cols, (hi - lo, self.n))
 
     def read_bytes(self, lo: int, hi: int, rank: int, n_readers: int) -> int:
-        return self.read_batch(lo, hi, rank, n_readers).nnz * 8
+        return 8 * sum(
+            self._window(j, lo, hi).size
+            for j in _reader_samples(self.n, rank, n_readers)
+        )
 
     def nnz_estimate(self) -> int:
         if self._nnz is None:

@@ -41,7 +41,7 @@ from repro.core.analysis import predicted_gram_kernel
 from repro.core.batching import BatchPlan, GridPlan, plan_batches, plan_grid
 from repro.core.bitmask import distribute_and_pack, distribute_and_pack_1d
 from repro.core.config import SimilarityConfig
-from repro.core.filtering import apply_filter
+from repro.core.filtering import FilterResult, apply_filter
 from repro.core.indicator import IndicatorSource, SetSource
 from repro.core.result import BatchStats, SimilarityResult
 from repro.runtime.codec import WireCodec, resolve_wire_codec
@@ -193,7 +193,7 @@ class SimilarityAtScale:
                     comm, grid, filt.chunks, filt.n_nonzero_rows, n,
                     config.bit_width, codec=codec,
                 )
-            decision = self._dispatch(n, nnz, filt.n_nonzero_rows)
+            decision = self._dispatch(n, nnz, filt)
             return _PreparedBatch(
                 lo, hi, nnz, filt.n_nonzero_rows, decision, layer_mats
             )
@@ -277,12 +277,19 @@ class SimilarityAtScale:
         return result
 
     def _dispatch(
-        self, n: int, nnz: int, n_nonzero_rows: int
+        self, n: int, nnz: int, filt: FilterResult
     ) -> DispatchDecision:
-        """Route one batch's local Gram by its post-filter density."""
+        """Route one batch's local Gram by its measured shape.
+
+        The outer kernel's cost is priced from the batch's real row
+        degrees (``sum_k d_k^2``, one ``bincount`` over the compacted
+        row ids), metadata the driver holds like ``nnz``; no data moves.
+        """
+        degrees = np.bincount(np.concatenate([c.rows for c in filt.chunks]))
         return choose_kernel(
-            n_nonzero_rows, n, nnz, self.config.bit_width,
+            filt.n_nonzero_rows, n, nnz, self.config.bit_width,
             policy=self.config.kernel_policy,
+            sum_sq_degree=float(np.square(degrees, dtype=np.float64).sum()),
         )
 
     def _plan_kernel(
@@ -424,7 +431,7 @@ class SimilarityAtScale:
                     comm, filt.chunks, filt.n_nonzero_rows, n,
                     config.bit_width, codec=codec,
                 )
-            decision = self._dispatch(n, nnz, filt.n_nonzero_rows)
+            decision = self._dispatch(n, nnz, filt)
             return _PreparedBatch(
                 lo, hi, nnz, filt.n_nonzero_rows, decision, blocks
             )

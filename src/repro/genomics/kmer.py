@@ -22,6 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.genomics.sequence import ALPHABET, sequence_to_codes
+from repro.util.arrays import unique_sorted
 
 #: k is capped so encodings fit a signed 64-bit integer: 4^31 < 2^63.
 MAX_K = 31
@@ -100,7 +101,7 @@ def kmer_set(
             parts.append(kmers)
     if not parts:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(parts))
+    return unique_sorted(np.concatenate(parts))
 
 
 def decode_kmer(code: int, k: int) -> str:

@@ -21,6 +21,7 @@ import numpy as np
 
 from repro.core.indicator import FileSource
 from repro.genomics.kmer import kmer_space_size
+from repro.util.arrays import unique_sorted
 
 MANIFEST_NAME = "manifest.json"
 
@@ -71,7 +72,7 @@ class SampleStore:
         """Store one sample's sorted, deduplicated k-mer codes."""
         if name in self.names:
             raise ValueError(f"sample {name!r} already present")
-        codes = np.unique(np.asarray(kmer_codes, dtype=np.int64))
+        codes = unique_sorted(np.asarray(kmer_codes, dtype=np.int64))
         if codes.size and (codes[0] < 0 or codes[-1] >= kmer_space_size(self.k)):
             raise ValueError(
                 f"sample {name!r} has codes outside [0, 4^{self.k})"

@@ -20,6 +20,9 @@ COMPLEMENT = {"A": "T", "C": "G", "G": "C", "T": "A", "N": "N"}
 
 _COMPLEMENT_TABLE = str.maketrans(COMPLEMENT)
 
+#: Deletes every valid base; whatever survives the translation is invalid.
+_DELETE_VALID = str.maketrans("", "", "ACGTN")
+
 #: Byte-level base -> 2-bit code lookup (255 marks invalid/ambiguous).
 BASE_CODES = np.full(256, 255, dtype=np.uint8)
 for _i, _b in enumerate(ALPHABET):
@@ -29,7 +32,7 @@ for _i, _b in enumerate(ALPHABET):
 
 def is_valid_sequence(seq: str) -> bool:
     """True when ``seq`` contains only A/C/G/T/N (case-insensitive)."""
-    return all(ch in "ACGTN" for ch in seq.upper())
+    return not seq.upper().translate(_DELETE_VALID)
 
 
 def reverse_complement(seq: str) -> str:

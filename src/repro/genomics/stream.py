@@ -40,6 +40,7 @@ from repro.genomics.fasta import iter_fasta
 from repro.genomics.kmer import canonical_kmers, encode_kmers, kmer_space_size
 from repro.genomics.sequence import SequenceRecord
 from repro.sparse.coo import CooMatrix
+from repro.util.arrays import unique_sorted
 
 #: Default chunk budget: 1 MiB of bases keeps peak sequence memory small
 #: while leaving each chunk large enough to amortize extraction setup.
@@ -106,7 +107,7 @@ def _extract_chunk(segments: list[str], k: int, canonical: bool) -> np.ndarray:
             parts.append(codes)
     if not parts:
         return np.empty(0, dtype=np.int64)
-    return np.unique(np.concatenate(parts))
+    return unique_sorted(np.concatenate(parts))
 
 
 def stream_sample_kmers(
@@ -170,10 +171,10 @@ def stream_kmer_set(
         pending.append(batch)
         pending_n += batch.size
         if pending_n >= max(merged.size, batch.size):
-            merged = np.unique(np.concatenate([merged, *pending]))
+            merged = unique_sorted(np.concatenate([merged, *pending]))
             pending, pending_n = [], 0
     if pending:
-        merged = np.unique(np.concatenate([merged, *pending]))
+        merged = unique_sorted(np.concatenate([merged, *pending]))
     return merged
 
 

@@ -9,7 +9,8 @@ outer-product accumulation when most sample pairs share nothing
 automatic:
 
 * :func:`predict_kernel_ops` — modelled effective-operation counts for
-  every kernel, given the post-filter batch shape and nonzero count;
+  every kernel, given the post-filter batch shape, nonzero count and
+  (when measured) sum of squared row degrees;
 * :func:`choose_kernel` — the per-batch decision (or a forced policy),
   returned as a :class:`DispatchDecision` so drivers can surface it in
   :class:`~repro.core.result.BatchStats`;
@@ -21,7 +22,8 @@ Cost model
 ----------
 With ``h`` surviving rows, ``n`` samples, ``z`` nonzeros, and word width
 ``b`` (so ``w = ceil(h / b)`` word rows and ``pairs = n (n + 1) / 2``
-symmetric column pairs):
+symmetric column pairs), and ``d_k`` the degree of surviving row ``k``
+(the number of samples holding it, so ``sum_k d_k = z``):
 
 ====================  =====================================================
 kernel                modelled effective ops
@@ -34,16 +36,27 @@ kernel                modelled effective ops
                       expected nonzero-word counts per word row)
 ``blocked``           ``w * pairs`` — single fused AND+popcount+accumulate
                       pass over cache-resident word tiles
-``outer``             ``OUTER_OP_WEIGHT * z * (z / h)`` — one scatter-add
-                      per index pair; scatter ops are weighted because a
-                      random-access update costs several SIMD word ops
+``outer``             ``OUTER_OP_WEIGHT * sum_k d_k^2`` — one scatter-add
+                      per index pair (``sum_k d_k^2`` is exactly the pair
+                      count :func:`gram_outer_pair` charges, summed over
+                      the SUMMA blocks); scatter ops are weighted because
+                      a random-access update costs several SIMD word ops
 ====================  =====================================================
 
-The blocked/outer crossover therefore sits at post-filter density
-``d* = sqrt(1 / (2 * OUTER_OP_WEIGHT * b))`` (about 0.03 for ``b = 64``):
-BIGSI-like batches (``d`` near ``1/n``) go to the outer kernel, dense
-Kingsford-like batches to the blocked popcount path.  Exact ties break
-toward the popcount path, whose runtime is shape-predictable.
+The drivers measure ``sum_k d_k^2`` from each filtered batch.  Without
+it (the a-priori planner, which has read no data) the outer cost falls
+back to the uniform-degree estimate ``z * (z / h)``, the smallest value
+``sum_k d_k^2`` can take for ``z`` nonzeros on ``h`` rows.  Under that
+estimate — which holds only for near-uniform (Bernoulli) row degrees —
+the blocked/outer crossover sits at post-filter density
+``d* = sqrt(1 / (2 * OUTER_OP_WEIGHT * b))``, i.e. ``sqrt(1 / (16 b))``
+(about 0.03 for ``b = 64``): BIGSI-like batches (``d`` near ``1/n``) go
+to the outer kernel, dense Kingsford-like batches to the blocked
+popcount path.  Skewed degrees — related genomes, where conserved
+k-mers sit in many samples and mutated ones in few — raise
+``sum_k d_k^2`` well above the uniform estimate and move the measured
+crossover to lower densities.  Exact ties break toward the popcount
+path, whose runtime is shape-predictable.
 """
 
 from __future__ import annotations
@@ -113,19 +126,26 @@ def resolve_kernel(name: str):
 
 
 def predict_kernel_ops(
-    n_rows: int, n_cols: int, nnz: float, bit_width: int
+    n_rows: int,
+    n_cols: int,
+    nnz: float,
+    bit_width: int,
+    sum_sq_degree: float | None = None,
 ) -> dict[str, float]:
     """Modelled effective ops of each kernel for one post-filter batch.
 
     ``n_rows`` is the number of surviving (nonzero) rows, ``n_cols`` the
-    sample count, ``nnz`` the batch nonzeros.  Degenerate batches cost
-    zero everywhere.
+    sample count, ``nnz`` the batch nonzeros.  ``sum_sq_degree`` is the
+    batch's measured ``sum_k d_k^2`` over its surviving rows; when
+    omitted, the outer cost uses the uniform-degree estimate
+    ``nnz^2 / n_rows``.  Degenerate batches cost zero everywhere.
     """
     if n_rows <= 0 or n_cols <= 0 or nnz <= 0:
         return {name: 0.0 for name in KERNEL_NAMES}
+    if sum_sq_degree is None:
+        sum_sq_degree = float(nnz) * (float(nnz) / n_rows)
     w = float(-(-n_rows // bit_width))
     pairs = n_cols * (n_cols + 1) / 2.0
-    avg_degree = float(nnz) / n_rows
     # gram_bitpacked charges min(dense sweep, Gustavson input-sparse
     # kernel); mirror that min here so predicted_ops matches what the
     # ledger will actually see.  Expected nonzero words per word row:
@@ -139,7 +159,7 @@ def predict_kernel_ops(
     return {
         "bitpacked": min(2.0 * w * pairs, gustavson),
         "blocked": w * pairs,
-        "outer": OUTER_OP_WEIGHT * float(nnz) * avg_degree,
+        "outer": OUTER_OP_WEIGHT * float(sum_sq_degree),
     }
 
 
@@ -149,13 +169,16 @@ def choose_kernel(
     nnz: float,
     bit_width: int,
     policy: str = "adaptive",
+    sum_sq_degree: float | None = None,
 ) -> DispatchDecision:
     """Pick the Gram kernel for one batch (or honour a forced policy).
 
     ``n_rows`` is the surviving row count after zero-row filtering;
-    ``nnz`` is unchanged by the filter.  Degenerate batches (empty, or
-    all rows filtered away) route to the blocked popcount path, which
-    no-ops on zero word rows.  Exact cost ties break toward ``blocked``.
+    ``nnz`` is unchanged by the filter.  ``sum_sq_degree`` is the
+    batch's measured ``sum_k d_k^2`` (see :func:`predict_kernel_ops`);
+    pass it whenever the batch has been read.  Degenerate batches
+    (empty, or all rows filtered away) route to the blocked popcount
+    path, which no-ops on zero word rows.  Exact cost ties break toward ``blocked``.
     """
     if policy not in KERNEL_POLICIES:
         raise ValueError(
@@ -165,7 +188,7 @@ def choose_kernel(
         float(nnz) / (float(n_rows) * n_cols) if n_rows > 0 and n_cols > 0
         else 0.0
     )
-    ops = predict_kernel_ops(n_rows, n_cols, nnz, bit_width)
+    ops = predict_kernel_ops(n_rows, n_cols, nnz, bit_width, sum_sq_degree)
     if policy != "adaptive":
         return DispatchDecision(
             kernel=policy, policy=policy, density=density, predicted_ops=ops

@@ -349,24 +349,3 @@ def colsum_csr(a: CsrMatrix) -> KernelResult:
     """Column sums of a CSR matrix."""
     sums = a.column_sums()
     return KernelResult(sums, float(a.nnz), float(a.nbytes))
-
-
-def choose_gram_kernel(nnz: int, n_rows: int, n_cols: int, bit_width: int) -> str:
-    """Pick the cheaper Gram kernel for a local block.
-
-    Compares the modelled op counts: packed-word sweep ``2 * ceil(rows/b)
-    * n^2 / 2`` versus row-outer ``nnz * avg_degree`` (estimated with a
-    uniform-degree assumption).  Returns ``"bitpacked"`` or ``"outer"``.
-
-    Superseded by :func:`repro.sparse.dispatch.choose_kernel`, which also
-    knows the blocked fast path, weighs scatter ops against word ops, and
-    reports the full decision; this simpler form is kept for the ablation
-    benches and backward compatibility.
-    """
-    if n_rows <= 0 or n_cols <= 0 or nnz <= 0:
-        return "bitpacked"
-    w = -(-n_rows // bit_width)
-    bitpacked_ops = float(w) * n_cols * (n_cols + 1)
-    avg_degree = nnz / n_rows
-    outer_ops = nnz * max(avg_degree, 1.0)
-    return "bitpacked" if bitpacked_ops <= outer_ops else "outer"

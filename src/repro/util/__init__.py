@@ -1,10 +1,12 @@
-"""Shared low-level utilities: bit manipulation, RNG, partitioning, units.
+"""Shared low-level utilities: bit manipulation, RNG, partitioning, units,
+sort-based dedupe.
 
 These helpers are deliberately free of any distributed-runtime concepts so
 that every other subpackage (``runtime``, ``sparse``, ``core``, ...) can
 depend on them without import cycles.
 """
 
+from repro.util.arrays import unique_sorted
 from repro.util.bits import (
     pack_bits,
     popcount,
@@ -38,4 +40,5 @@ __all__ = [
     "format_bytes",
     "format_count",
     "format_time",
+    "unique_sorted",
 ]

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.similarity as similarity
 from repro import SimilarityConfig, jaccard_similarity
 from repro.core.analysis import expected_nonzero_rows, predicted_gram_kernel
 from repro.core.indicator import CooSource, SetSource, SyntheticSource
@@ -13,6 +14,7 @@ from repro.sparse.bitmatrix import BitMatrix
 from repro.sparse.coo import CooMatrix
 from repro.sparse.dispatch import (
     KERNEL_POLICIES,
+    OUTER_OP_WEIGHT,
     choose_kernel,
     predict_kernel_ops,
     resolve_kernel,
@@ -88,6 +90,75 @@ class TestChooseKernel:
         large = predict_kernel_ops(2000, 64, 10_000, 64)
         assert large["blocked"] > small["blocked"]
         assert large["outer"] > small["outer"]
+
+
+class TestSkewedDegreeDispatch:
+    """Related genomes: a few rows in every sample, many rows in one.
+
+    The uniform-degree estimate prices the outer kernel far below what
+    it really costs on such a batch; the driver measures ``sum_k d_k^2``
+    and must route to the blocked popcount path instead.
+    """
+
+    N_SAMPLES, HEAVY, LIGHT = 64, 10, 6400
+
+    def _source(self):
+        n, heavy, light = self.N_SAMPLES, self.HEAVY, self.LIGHT
+        rng = np.random.default_rng(11)
+        h = heavy + light
+        heavy_rows = rng.choice(h, size=heavy, replace=False)
+        light_rows = np.setdiff1d(np.arange(h), heavy_rows)
+        rows = np.concatenate([np.repeat(heavy_rows, n), light_rows])
+        cols = np.concatenate([
+            np.tile(np.arange(n), heavy),
+            rng.integers(0, n, size=light),
+        ])
+        degrees = np.bincount(rows, minlength=h)
+        sum_sq = float((degrees**2).sum())
+        return CooSource(CooMatrix(rows, cols, (h, n))), sum_sq
+
+    def _run(self, source, policy, monkeypatch):
+        decisions = []
+
+        def recording(*args, **kwargs):
+            decisions.append(choose_kernel(*args, **kwargs))
+            return decisions[-1]
+
+        monkeypatch.setattr(similarity, "choose_kernel", recording)
+        result = jaccard_similarity(
+            source, machine=Machine(laptop(4)),
+            config=SimilarityConfig(kernel_policy=policy, batch_count=1),
+        )
+        return result, decisions
+
+    def test_uniform_estimate_would_pick_outer(self):
+        n, nnz = self.N_SAMPLES, self.HEAVY * self.N_SAMPLES + self.LIGHT
+        h = self.HEAVY + self.LIGHT
+        assert choose_kernel(h, n, nnz, 64).kernel == "outer"
+
+    def test_measured_degrees_route_to_blocked(self, monkeypatch):
+        source, sum_sq = self._source()
+        result, decisions = self._run(source, "adaptive", monkeypatch)
+        assert [b.kernel for b in result.batches] == ["blocked"]
+        (decision,) = decisions
+        assert decision.predicted_ops["outer"] == OUTER_OP_WEIGHT * sum_sq
+        assert decision.predicted_ops["blocked"] < decision.predicted_ops["outer"]
+
+    def test_outer_charges_sum_of_squared_degrees(self, monkeypatch):
+        source, sum_sq = self._source()
+        result, _ = self._run(source, "outer", monkeypatch)
+        assert result.cost.phases["spgemm"].kernel_flops["outer"] == sum_sq
+
+    def test_every_policy_gives_the_same_matrix(self, monkeypatch):
+        source, _ = self._source()
+        results = {
+            policy: self._run(source, policy, monkeypatch)[0]
+            for policy in KERNEL_POLICIES
+        }
+        for policy, result in results.items():
+            assert np.array_equal(
+                result.similarity, results["adaptive"].similarity
+            ), policy
 
 
 class TestPlannerPrediction:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from repro.sparse.bitmatrix import BitMatrix
 from repro.sparse.coo import CooMatrix
 from repro.sparse.spgemm import (
-    choose_gram_kernel,
     colsum_bitpacked,
     colsum_csr,
     gram_bitpacked,
@@ -128,15 +127,3 @@ class TestColsums:
         dense = rng.random((70, 5)) < 0.4
         res = colsum_csr(CooMatrix.from_dense(dense).to_csr())
         assert np.array_equal(res.value, dense.sum(axis=0))
-
-
-class TestKernelChoice:
-    def test_hypersparse_prefers_outer(self):
-        # 1M rows, 1000 cols, 2000 nonzeros: outer product is vastly cheaper.
-        assert choose_gram_kernel(2000, 1_000_000, 1000, 64) == "outer"
-
-    def test_dense_prefers_bitpacked(self):
-        assert choose_gram_kernel(500_000, 1000, 100, 64) == "bitpacked"
-
-    def test_degenerate_defaults_to_bitpacked(self):
-        assert choose_gram_kernel(0, 0, 0, 64) == "bitpacked"

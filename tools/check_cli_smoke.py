@@ -7,7 +7,10 @@ over ``tests/data/smoke_fasta``:
 * ``estimator`` — the batch engine: one ``--estimator exact`` run and
   one ``--estimator minhash`` run must exit 0, write similarity
   matrices of equal shape, and agree within the analytic 95% bound the
-  sketch run prints in its cost report.
+  sketch run prints in its cost report.  Two more exact runs force
+  ``--kernel-policy blocked`` and ``--kernel-policy outer``; both
+  matrices must be bit-identical to the adaptive run's, so the Gram
+  dispatcher never changes an answer.
 * ``index`` — the serving layer: ``index build`` over three samples,
   ``index add`` of the fourth, then ``index query --threshold`` of one
   sample against the four-genome index; the query's matches must agree
@@ -57,6 +60,9 @@ BOUND_RE = re.compile(r"estimated J \+/- ([0-9.]+) at 95%")
 
 SECTIONS = ("estimator", "index", "shard", "similarity")
 
+#: Kernel policies the estimator section forces against the adaptive run.
+FORCED_KERNELS = ("blocked", "outer")
+
 
 def run_cli(args: list[str]) -> None:
     """Run the CLI as a subprocess; raise on a nonzero exit."""
@@ -87,6 +93,17 @@ def check_estimator(
          "--estimator", "minhash", "--sketch-size", str(sketch_size)]
     )
     exact = np.load(exact_dir / "similarity.npy")
+    for policy in FORCED_KERNELS:
+        forced_dir = workdir / f"exact-{policy}"
+        run_cli(
+            [str(FASTA_DIR), "-o", str(forced_dir), "--tree", "none",
+             "--estimator", "exact", "--kernel-policy", policy]
+        )
+        forced = np.load(forced_dir / "similarity.npy")
+        if not np.array_equal(forced, exact):
+            raise SystemExit(
+                f"--kernel-policy {policy} changed the exact similarity matrix"
+            )
     approx = np.load(sketch_dir / "similarity.npy")
     if exact.shape != approx.shape:
         raise SystemExit(
@@ -110,7 +127,8 @@ def check_estimator(
         )
     return (
         f"cli smoke ok [estimator]: {exact.shape[0]} samples, "
-        f"max |exact - minhash| = {diff:.4f} <= printed bound {bound:.4f}"
+        f"max |exact - minhash| = {diff:.4f} <= printed bound {bound:.4f}, "
+        f"{'/'.join(FORCED_KERNELS)} kernels bit-identical to adaptive"
     )
 
 
